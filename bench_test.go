@@ -242,12 +242,16 @@ func BenchmarkE8RQuantile(b *testing.B) {
 		samples = 10_000
 	)
 	est := repro.Trie{Tau: 0.05}
-	gen := func(src *rng.Source) []int {
+	gen := func(src *rng.Source) *repro.Sample {
 		out := make([]int, samples)
 		for i := range out {
 			out[i] = src.Intn(size)
 		}
-		return out
+		s, err := repro.NewSample(out, size)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return s
 	}
 	root := rng.New(5)
 	agree := 0
@@ -255,11 +259,11 @@ func BenchmarkE8RQuantile(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		shared1 := root.DeriveIndex("shared", i)
 		shared2 := root.DeriveIndex("shared", i)
-		a, err := est.Quantile(gen(root.DeriveIndex("sa", i)), size, 0.7, shared1, nil)
+		a, err := est.Quantile(gen(root.DeriveIndex("sa", i)), 0.7, shared1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		c, err := est.Quantile(gen(root.DeriveIndex("sb", i)), size, 0.7, shared2, nil)
+		c, err := est.Quantile(gen(root.DeriveIndex("sb", i)), 0.7, shared2, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -336,9 +340,13 @@ func BenchmarkSamplerAliasVsPrefix(b *testing.B) {
 func BenchmarkEstimatorAblation(b *testing.B) {
 	const size = 1 << 12
 	src := rng.New(3)
-	samples := make([]int, 20_000)
-	for i := range samples {
-		samples[i] = src.Intn(size)
+	draws := make([]int, 20_000)
+	for i := range draws {
+		draws[i] = src.Intn(size)
+	}
+	samples, err := repro.NewSample(draws, size)
+	if err != nil {
+		b.Fatal(err)
 	}
 	for _, est := range []repro.Estimator{
 		repro.Naive{},
@@ -352,7 +360,7 @@ func BenchmarkEstimatorAblation(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				shared := root.DeriveIndex("s", i)
 				fresh := root.DeriveIndex("f", i)
-				if _, err := est.Quantile(samples, size, 0.6, shared, fresh); err != nil {
+				if _, err := est.Quantile(samples, 0.6, shared, fresh); err != nil {
 					b.Fatal(err)
 				}
 			}

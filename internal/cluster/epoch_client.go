@@ -35,17 +35,19 @@ func (c *LCAClient) InSolutionEpochTenant(ctx context.Context, id engine.TenantI
 }
 
 func (c *LCAClient) inSolutionEpoch(ctx context.Context, i int, id *engine.TenantID, ep engine.EpochID) (bool, engine.EpochID, error) {
-	resp, err := c.conn.roundTrip(ctx, c.requestEpoch(msgInSol, putU64(nil, uint64(i)), id, ep))
+	var in bool
+	var served engine.EpochID
+	err := c.conn.roundTrip(ctx, c.requestEpoch(msgInSol, putU64(nil, uint64(i)), id, ep), func(resp frame) error {
+		if len(resp.payload) != 1 {
+			return fmt.Errorf("%w: InSolution payload %d bytes", ErrBadMessage, len(resp.payload))
+		}
+		in, served = resp.payload[0] == 1, respEpoch(resp, ep)
+		return nil
+	})
 	if err != nil {
 		return false, 0, err
 	}
-	if err := decodeMaybeErr(resp, msgInSol); err != nil {
-		return false, 0, err
-	}
-	if len(resp.payload) != 1 {
-		return false, 0, fmt.Errorf("%w: InSolution payload %d bytes", ErrBadMessage, len(resp.payload))
-	}
-	return resp.payload[0] == 1, respEpoch(resp, ep), nil
+	return in, served, nil
 }
 
 // InSolutionBatchEpoch is InSolutionBatch against one sealed epoch of
@@ -69,22 +71,19 @@ func (c *LCAClient) inSolutionBatchEpoch(ctx context.Context, indices []int, id 
 	for _, i := range indices {
 		payload = putU64(payload, uint64(i))
 	}
-	resp, err := c.conn.roundTrip(ctx, c.requestEpoch(msgInSolBatch, payload, id, ep))
+	var answers []bool
+	var served engine.EpochID
+	//lint:alloc measured: the decode closure does not escape roundTrip, so it stays on the stack (BenchmarkRemoteQueryItem pins 3 allocs/op)
+	err := c.conn.roundTrip(ctx, c.requestEpoch(msgInSolBatch, payload, id, ep), func(resp frame) error {
+		var err error
+		answers, err = decodeBatchAnswers(resp, len(indices))
+		served = respEpoch(resp, ep)
+		return err
+	})
 	if err != nil {
 		return nil, 0, err
 	}
-	if err := decodeMaybeErr(resp, msgInSolBatch); err != nil {
-		return nil, 0, err
-	}
-	if len(resp.payload) != len(indices) {
-		return nil, 0, fmt.Errorf("%w: batch response %d answers for %d queries",
-			ErrBadMessage, len(resp.payload), len(indices))
-	}
-	answers := make([]bool, len(indices)) //lint:alloc escapes to the caller, which owns the answers
-	for k, b := range resp.payload {
-		answers[k] = b == 1
-	}
-	return answers, respEpoch(resp, ep), nil
+	return answers, served, nil
 }
 
 // respEpoch extracts the served-epoch echo, falling back to the
@@ -107,16 +106,7 @@ func (c *LCAClient) FetchArtifactEpoch(ctx context.Context, id engine.TenantID, 
 	if ep == 0 {
 		return c.FetchArtifact(ctx, id)
 	}
-	resp, err := c.conn.roundTrip(ctx, c.requestEpoch(msgStoreFetch, nil, &id, ep))
-	if err != nil {
-		return nil, err
-	}
-	if err := decodeMaybeErr(resp, msgStoreFetch); err != nil {
-		return nil, err
-	}
-	// The response payload aliases the connection's read buffer; copy
-	// before the next RPC reuses it.
-	return append([]byte(nil), resp.payload...), nil
+	return c.fetch(ctx, c.requestEpoch(msgStoreFetch, nil, &id, ep))
 }
 
 // PushArtifact proactively replicates an encoded artifact to the peer
@@ -129,9 +119,5 @@ func (c *LCAClient) PushArtifact(ctx context.Context, data []byte) error {
 	if len(data) == 0 {
 		return fmt.Errorf("%w: empty artifact push", ErrBadMessage)
 	}
-	resp, err := c.conn.roundTrip(ctx, frame{msgType: msgStorePush, payload: data})
-	if err != nil {
-		return err
-	}
-	return decodeMaybeErr(resp, msgStorePush)
+	return c.conn.roundTrip(ctx, frame{msgType: msgStorePush, payload: data}, nil)
 }

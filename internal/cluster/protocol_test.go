@@ -144,12 +144,8 @@ func TestServerRejectsUnknownMessageType(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer c.close()
-	resp, err := c.roundTrip(context.Background(), frame{msgType: 0x6e})
-	if err != nil {
-		t.Fatalf("roundTrip: %v", err)
-	}
-	if resp.msgType != msgErr|respBit {
-		t.Errorf("response type %#x, want error", resp.msgType)
+	if err := c.roundTrip(context.Background(), frame{msgType: 0x6e}, nil); !errors.Is(err, ErrRemote) {
+		t.Errorf("unknown message error = %v, want ErrRemote", err)
 	}
 }
 
@@ -168,11 +164,7 @@ func TestInstanceServerRejectsOversizedSampleBatch(t *testing.T) {
 	defer c.close()
 	payload := putU64(nil, maxSampleBatch+1)
 	payload = putU64(payload, 7)
-	resp, err := c.roundTrip(context.Background(), frame{msgType: msgSample, payload: payload})
-	if err != nil {
-		t.Fatalf("roundTrip: %v", err)
-	}
-	if err := decodeMaybeErr(resp, msgSample); !errors.Is(err, ErrRemote) {
+	if err := c.roundTrip(context.Background(), frame{msgType: msgSample, payload: payload}, nil); !errors.Is(err, ErrRemote) {
 		t.Errorf("oversized batch error = %v, want ErrRemote", err)
 	}
 }
@@ -185,11 +177,7 @@ func TestLCAServerRejectsWrongMessage(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer c.close()
-	resp, err := c.roundTrip(context.Background(), frame{msgType: msgInfo})
-	if err != nil {
-		t.Fatalf("roundTrip: %v", err)
-	}
-	if resp.msgType != msgErr|respBit {
-		t.Errorf("response type %#x, want error", resp.msgType)
+	if err := c.roundTrip(context.Background(), frame{msgType: msgInfo}, nil); !errors.Is(err, ErrRemote) {
+		t.Errorf("wrong message error = %v, want ErrRemote", err)
 	}
 }

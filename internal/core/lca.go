@@ -253,6 +253,11 @@ func (l *LCAKP) estimateEPS(ctx context.Context, fresh *rng.Source, largeMass fl
 	if len(indices) == 0 {
 		return nil, nil, 0, nil
 	}
+	// One sample, sorted once, serves every threshold's quantile.
+	sample, err := repro.NewSample(indices, l.domain.Size())
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("core: EPS sample: %w", err)
+	}
 
 	thresholds := make([]float64, 0, t)
 	for k := 1; k <= t; k++ {
@@ -262,7 +267,7 @@ func (l *LCAKP) estimateEPS(ctx context.Context, fresh *rng.Source, largeMass fl
 		}
 		shared := l.sharedRoot.DeriveIndex("eps-threshold", k)
 		freshK := fresh.DeriveIndex("estimator", k)
-		idx, err := l.params.Estimator.Quantile(indices, l.domain.Size(), p, shared, freshK)
+		idx, err := l.params.Estimator.Quantile(sample, p, shared, freshK)
 		if err != nil {
 			return nil, nil, 0, fmt.Errorf("core: EPS quantile %d: %w", k, err)
 		}

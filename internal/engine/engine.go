@@ -140,7 +140,7 @@ type Totals struct {
 
 // Engine drives a Querier and accounts every query with a Metrics
 // record. It is safe for concurrent use if the Querier is (core.LCAKP
-// is; core.CachedRule via an adapter is too).
+// is).
 //
 // The cumulative tallies are obs metrics so they can be handed to a
 // Registry (RegisterMetrics) for scraping without a second accounting

@@ -20,12 +20,17 @@ func BenchmarkECDFBuild(b *testing.B) {
 	samples := benchSamples(50_000, 1<<12)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = NewECDF(samples)
+		if _, err := NewSample(samples, 1<<12); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkECDFQuery(b *testing.B) {
-	e := NewECDF(benchSamples(50_000, 1<<12))
+	e, err := NewSample(benchSamples(50_000, 1<<12), 1<<12)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = e.FractionLE(i % (1 << 12))
@@ -44,24 +49,30 @@ func BenchmarkDomainIndex(b *testing.B) {
 }
 
 func BenchmarkTrieQuantile(b *testing.B) {
-	samples := benchSamples(20_000, 1<<12)
+	samples, err := NewSample(benchSamples(20_000, 1<<12), 1<<12)
+	if err != nil {
+		b.Fatal(err)
+	}
 	est := Trie{Tau: 0.05}
 	root := rng.New(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := est.Quantile(samples, 1<<12, 0.7, root.DeriveIndex("s", i), nil); err != nil {
+		if _, err := est.Quantile(samples, 0.7, root.DeriveIndex("s", i), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkPaddedMedianQuantile(b *testing.B) {
-	samples := benchSamples(20_000, 1<<12)
+	samples, err := NewSample(benchSamples(20_000, 1<<12), 1<<12)
+	if err != nil {
+		b.Fatal(err)
+	}
 	est := PaddedMedian{Tau: 0.05}
 	root := rng.New(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := est.Quantile(samples, 1<<12, 0.7, root.DeriveIndex("s", i), root.DeriveIndex("f", i)); err != nil {
+		if _, err := est.Quantile(samples, 0.7, root.DeriveIndex("s", i), root.DeriveIndex("f", i)); err != nil {
 			b.Fatal(err)
 		}
 	}

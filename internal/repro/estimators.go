@@ -8,11 +8,14 @@ import (
 )
 
 // Estimator is a (possibly reproducible) approximate quantile
-// estimator over a finite domain of indices [0, domainSize).
+// estimator over a finite domain of indices.
 //
-// Quantile estimates the p-quantile of the distribution underlying
-// samples. Two kinds of randomness are distinguished, mirroring
-// Definition 2.5 of the paper (reproducibility):
+// Quantile estimates the p-quantile of the distribution underlying the
+// sample s, over s's domain [0, s.DomainSize()). The sample's sorted
+// view is built once, by NewSample, so a caller asking several
+// quantiles of one sample pays for one sort. Two kinds of randomness
+// are distinguished, mirroring Definition 2.5 of the paper
+// (reproducibility):
 //
 //   - shared is the algorithm's *internal* randomness r. Reproducible
 //     estimators consume it deterministically, so two runs given
@@ -30,7 +33,7 @@ type Estimator interface {
 	// Name identifies the estimator in reports and ablation tables.
 	Name() string
 	// Quantile returns a domain index approximating the p-quantile.
-	Quantile(samples []int, domainSize int, p float64, shared, fresh *rng.Source) (int, error)
+	Quantile(s *Sample, p float64, shared, fresh *rng.Source) (int, error)
 }
 
 // Naive is the plain empirical quantile: accurate, cheap, and NOT
@@ -43,12 +46,12 @@ var _ Estimator = Naive{}
 // Name returns "naive".
 func (Naive) Name() string { return "naive" }
 
-// Quantile returns the empirical p-quantile of the samples.
-func (Naive) Quantile(samples []int, domainSize int, p float64, _, _ *rng.Source) (int, error) {
-	if err := checkQuantileArgs(samples, domainSize, p, 0); err != nil {
+// Quantile returns the empirical p-quantile of the sample.
+func (Naive) Quantile(s *Sample, p float64, _, _ *rng.Source) (int, error) {
+	if err := checkQuantileArgs(s, p, 0); err != nil {
 		return 0, err
 	}
-	x, ok := NewECDF(samples).Quantile(p)
+	x, ok := s.Quantile(p)
 	if !ok {
 		return 0, ErrNoSamples
 	}
@@ -75,14 +78,15 @@ var _ Estimator = Snap{}
 func (Snap) Name() string { return "snap" }
 
 // Quantile estimates at a randomized rank and snaps to the shared grid.
-func (s Snap) Quantile(samples []int, domainSize int, p float64, shared, _ *rng.Source) (int, error) {
-	if err := checkQuantileArgs(samples, domainSize, p, s.Tau); err != nil {
+func (sn Snap) Quantile(s *Sample, p float64, shared, _ *rng.Source) (int, error) {
+	if err := checkQuantileArgs(s, p, sn.Tau); err != nil {
 		return 0, err
 	}
 	if shared == nil {
 		return 0, fmt.Errorf("%w: Snap requires shared randomness", ErrBadParam)
 	}
-	grid := s.Grid
+	domainSize := s.DomainSize()
+	grid := sn.Grid
 	if grid <= 0 {
 		grid = domainSize / 64
 	}
@@ -91,10 +95,10 @@ func (s Snap) Quantile(samples []int, domainSize int, p float64, shared, _ *rng.
 	}
 	// Both random draws below come from the shared source, in a fixed
 	// order, so two runs use the same randomized rank and grid offset.
-	rank := p + (shared.Float64()-0.5)*s.Tau/2
+	rank := p + (shared.Float64()-0.5)*sn.Tau/2
 	offset := shared.Intn(grid)
 
-	x, ok := NewECDF(samples).Quantile(clamp01(rank))
+	x, ok := s.Quantile(clamp01(rank))
 	if !ok {
 		return 0, ErrNoSamples
 	}
@@ -133,15 +137,14 @@ var _ Estimator = Trie{}
 func (Trie) Name() string { return "trie" }
 
 // Quantile performs the randomized-threshold binary search.
-func (t Trie) Quantile(samples []int, domainSize int, p float64, shared, _ *rng.Source) (int, error) {
-	if err := checkQuantileArgs(samples, domainSize, p, t.Tau); err != nil {
+func (t Trie) Quantile(s *Sample, p float64, shared, _ *rng.Source) (int, error) {
+	if err := checkQuantileArgs(s, p, t.Tau); err != nil {
 		return 0, err
 	}
 	if shared == nil {
 		return 0, fmt.Errorf("%w: Trie requires shared randomness", ErrBadParam)
 	}
-	ecdf := NewECDF(samples)
-	lo, hi := 0, domainSize-1
+	lo, hi := 0, s.DomainSize()-1
 	// The loop always runs exactly ceil(log2(domainSize)) iterations'
 	// worth of draws along the taken path; paths only diverge between
 	// runs at the (rare) straddling events, after which agreement is
@@ -149,7 +152,7 @@ func (t Trie) Quantile(samples []int, domainSize int, p float64, shared, _ *rng.
 	for lo < hi {
 		mid := lo + (hi-lo)/2
 		threshold := p + float64((shared.Float64()-0.5)*t.Tau)
-		if ecdf.FractionLE(mid) >= threshold {
+		if s.FractionLE(mid) >= threshold {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -169,7 +172,8 @@ func (t Trie) Quantile(samples []int, domainSize int, p float64, shared, _ *rng.
 // The padding mixture is drawn from the *fresh* source — it simulates
 // sampling from the derived distribution D' of Section 4.2 — while the
 // inner median consumes only shared randomness, exactly as in the
-// paper.
+// paper. The padded sample takes the original draws by position, so
+// PaddedMedian reads the sample's draw order, not its sorted view.
 type PaddedMedian struct {
 	Tau float64
 }
@@ -180,8 +184,8 @@ var _ Estimator = PaddedMedian{}
 func (PaddedMedian) Name() string { return "padded-median" }
 
 // Quantile runs the ±infinity-padding reduction of Algorithm 1.
-func (m PaddedMedian) Quantile(samples []int, domainSize int, p float64, shared, fresh *rng.Source) (int, error) {
-	if err := checkQuantileArgs(samples, domainSize, p, m.Tau); err != nil {
+func (m PaddedMedian) Quantile(s *Sample, p float64, shared, fresh *rng.Source) (int, error) {
+	if err := checkQuantileArgs(s, p, m.Tau); err != nil {
 		return 0, err
 	}
 	if shared == nil || fresh == nil {
@@ -189,6 +193,8 @@ func (m PaddedMedian) Quantile(samples []int, domainSize int, p float64, shared,
 	}
 	// Extended domain: index 0 is -inf, indices 1..domainSize are the
 	// original cells shifted by one, index domainSize+1 is +inf.
+	samples := s.Draws()
+	domainSize := s.DomainSize()
 	extSize := domainSize + 2
 	padded := make([]int, 0, 2*len(samples))
 	next := 0
@@ -210,8 +216,12 @@ func (m PaddedMedian) Quantile(samples []int, domainSize int, p float64, shared,
 	if len(padded) == 0 {
 		return 0, ErrNoSamples
 	}
+	ext, err := NewSample(padded, extSize)
+	if err != nil {
+		return 0, fmt.Errorf("padded median: %w", err)
+	}
 	inner := Trie{Tau: m.Tau / 2}
-	v, err := inner.Quantile(padded, extSize, 0.5, shared, nil)
+	v, err := inner.Quantile(ext, 0.5, shared, nil)
 	if err != nil {
 		return 0, fmt.Errorf("padded median: %w", err)
 	}
@@ -226,13 +236,11 @@ func (m PaddedMedian) Quantile(samples []int, domainSize int, p float64, shared,
 	}
 }
 
-// checkQuantileArgs validates the common estimator arguments.
-func checkQuantileArgs(samples []int, domainSize int, p, tau float64) error {
-	if len(samples) == 0 {
+// checkQuantileArgs validates the common estimator arguments. The
+// sample's indices and domain were validated once, by NewSample.
+func checkQuantileArgs(s *Sample, p, tau float64) error {
+	if s == nil || s.N() == 0 {
 		return ErrNoSamples
-	}
-	if domainSize < 2 {
-		return fmt.Errorf("%w: domain size %d", ErrBadParam, domainSize)
 	}
 	if p < 0 || p > 1 || math.IsNaN(p) {
 		return fmt.Errorf("%w: quantile p=%v", ErrBadParam, p)

@@ -37,8 +37,8 @@ var _ Estimator = Iterated{}
 func (Iterated) Name() string { return "iterated" }
 
 // Quantile runs the staged search.
-func (it Iterated) Quantile(samples []int, domainSize int, p float64, shared, _ *rng.Source) (int, error) {
-	if err := checkQuantileArgs(samples, domainSize, p, it.Tau); err != nil {
+func (it Iterated) Quantile(s *Sample, p float64, shared, _ *rng.Source) (int, error) {
+	if err := checkQuantileArgs(s, p, it.Tau); err != nil {
 		return 0, err
 	}
 	if shared == nil {
@@ -50,8 +50,7 @@ func (it Iterated) Quantile(samples []int, domainSize int, p float64, shared, _ 
 	}
 	stageCells := 1 << stageBits
 
-	ecdf := NewECDF(samples)
-	lo, hi := 0, domainSize // current index window [lo, hi)
+	lo, hi := 0, s.DomainSize() // current index window [lo, hi)
 	stage := 0
 	for hi-lo > 1 {
 		// Partition the window into at most stageCells equal cells and
@@ -72,7 +71,7 @@ func (it Iterated) Quantile(samples []int, domainSize int, p float64, shared, _ 
 				edge = hi - 1
 			}
 			threshold := p + float64((stageSrc.Float64()-0.5)*it.Tau)
-			if ecdf.FractionLE(edge) >= threshold {
+			if s.FractionLE(edge) >= threshold {
 				cHi = mid
 			} else {
 				cLo = mid + 1
@@ -106,7 +105,7 @@ func (it Iterated) Quantile(samples []int, domainSize int, p float64, shared, _ 
 	// of the last stage, so this is O(small).
 	final := p + float64((shared.Derive("final").Float64()-0.5)*it.Tau)
 	for x := lo; x < hi; x++ {
-		if ecdf.FractionLE(x) >= final {
+		if s.FractionLE(x) >= final {
 			return x, nil
 		}
 	}

@@ -44,11 +44,12 @@ func TestIteratedDeterministicGivenSharedAndSample(t *testing.T) {
 	gen := uniformGen(3000, 1<<10)
 	samples := gen(rng.New(1))
 	est := Iterated{Tau: 0.1, StageBits: 3}
-	a, err := est.Quantile(samples, 1<<10, 0.4, rng.New(9).Derive("s"), nil)
+	s := mustSample(t, samples, 1<<10)
+	a, err := est.Quantile(s, 0.4, rng.New(9).Derive("s"), nil)
 	if err != nil {
 		t.Fatalf("Quantile: %v", err)
 	}
-	b, err := est.Quantile(samples, 1<<10, 0.4, rng.New(9).Derive("s"), nil)
+	b, err := est.Quantile(s, 0.4, rng.New(9).Derive("s"), nil)
 	if err != nil {
 		t.Fatalf("Quantile: %v", err)
 	}
@@ -59,10 +60,10 @@ func TestIteratedDeterministicGivenSharedAndSample(t *testing.T) {
 
 func TestIteratedArgValidation(t *testing.T) {
 	est := Iterated{Tau: 0.1}
-	if _, err := est.Quantile(nil, 8, 0.5, rng.New(1), nil); !errors.Is(err, ErrNoSamples) {
+	if _, err := est.Quantile(mustSample(t, nil, 8), 0.5, rng.New(1), nil); !errors.Is(err, ErrNoSamples) {
 		t.Errorf("empty samples: %v", err)
 	}
-	if _, err := est.Quantile([]int{1}, 8, 0.5, nil, nil); !errors.Is(err, ErrBadParam) {
+	if _, err := est.Quantile(mustSample(t, []int{1}, 8), 0.5, nil, nil); !errors.Is(err, ErrBadParam) {
 		t.Errorf("nil shared: %v", err)
 	}
 }
@@ -77,8 +78,9 @@ func TestIteratedOutputInDomain(t *testing.T) {
 			for i := range samples {
 				samples[i] = root.Intn(size)
 			}
+			s := mustSample(t, samples, size)
 			for _, p := range []float64{0, 0.3, 0.99, 1} {
-				out, err := est.Quantile(samples, size, p, root.Derive("s"), nil)
+				out, err := est.Quantile(s, p, root.Derive("s"), nil)
 				if err != nil {
 					t.Fatalf("size=%d stage=%d p=%v: %v", size, stageBits, p, err)
 				}

@@ -48,11 +48,11 @@ func MeasureReproducibility(
 		freshA := root.DeriveIndex("fresh-a", trial)
 		freshB := root.DeriveIndex("fresh-b", trial)
 
-		outA, err := est.Quantile(samplesA, domainSize, p, shared1, freshA)
+		outA, err := quantileOf(est, samplesA, domainSize, p, shared1, freshA)
 		if err != nil {
 			return PairStats{}, fmt.Errorf("trial %d run A: %w", trial, err)
 		}
-		outB, err := est.Quantile(samplesB, domainSize, p, shared2, freshB)
+		outB, err := quantileOf(est, samplesB, domainSize, p, shared2, freshB)
 		if err != nil {
 			return PairStats{}, fmt.Errorf("trial %d run B: %w", trial, err)
 		}
@@ -99,7 +99,7 @@ func MeasureAccuracy(
 		shared := root.DeriveIndex("shared", trial)
 		fresh := root.DeriveIndex("fresh", trial)
 		samples := gen(root.DeriveIndex("samples", trial))
-		out, err := est.Quantile(samples, domainSize, p, shared, fresh)
+		out, err := quantileOf(est, samples, domainSize, p, shared, fresh)
 		if err != nil {
 			return 0, fmt.Errorf("trial %d: %w", trial, err)
 		}
@@ -115,4 +115,13 @@ func MeasureAccuracy(
 		}
 	}
 	return float64(good) / float64(trials), nil
+}
+
+// quantileOf runs est on one generated sample over [0, domainSize).
+func quantileOf(est Estimator, indices []int, domainSize int, p float64, shared, fresh *rng.Source) (int, error) {
+	s, err := NewSample(indices, domainSize)
+	if err != nil {
+		return 0, err
+	}
+	return est.Quantile(s, p, shared, fresh)
 }

@@ -82,8 +82,18 @@ func TestDomainInvalid(t *testing.T) {
 	}
 }
 
+// mustSample builds a Sample over [0, size) or fails the test.
+func mustSample(t testing.TB, indices []int, size int) *Sample {
+	t.Helper()
+	s, err := NewSample(indices, size)
+	if err != nil {
+		t.Fatalf("NewSample: %v", err)
+	}
+	return s
+}
+
 func TestECDFBasics(t *testing.T) {
-	e := NewECDF([]int{5, 1, 3, 3, 9})
+	e := mustSample(t, []int{5, 1, 3, 3, 9}, 10)
 	if e.N() != 5 {
 		t.Errorf("N = %d", e.N())
 	}
@@ -102,7 +112,7 @@ func TestECDFBasics(t *testing.T) {
 }
 
 func TestECDFQuantile(t *testing.T) {
-	e := NewECDF([]int{10, 20, 30, 40})
+	e := mustSample(t, []int{10, 20, 30, 40}, 41)
 	tests := []struct {
 		p    float64
 		want int
@@ -116,7 +126,7 @@ func TestECDFQuantile(t *testing.T) {
 }
 
 func TestECDFEmpty(t *testing.T) {
-	e := NewECDF(nil)
+	e := mustSample(t, nil, 8)
 	if _, ok := e.Quantile(0.5); ok {
 		t.Error("Quantile on empty ECDF returned ok")
 	}
@@ -130,7 +140,7 @@ func TestECDFEmpty(t *testing.T) {
 
 func TestECDFDoesNotMutateInput(t *testing.T) {
 	in := []int{3, 1, 2}
-	_ = NewECDF(in)
+	_ = mustSample(t, in, 4)
 	if in[0] != 3 || in[1] != 1 || in[2] != 2 {
 		t.Errorf("input mutated: %v", in)
 	}
@@ -229,11 +239,12 @@ func TestTrieDeterministicGivenSharedAndSample(t *testing.T) {
 	gen := uniformGen(2000, 1<<8)
 	samples := gen(rng.New(1))
 	est := Trie{Tau: 0.1}
-	a, err := est.Quantile(samples, 1<<8, 0.4, rng.New(9).Derive("s"), nil)
+	s := mustSample(t, samples, 1<<8)
+	a, err := est.Quantile(s, 0.4, rng.New(9).Derive("s"), nil)
 	if err != nil {
 		t.Fatalf("Quantile: %v", err)
 	}
-	b, err := est.Quantile(samples, 1<<8, 0.4, rng.New(9).Derive("s"), nil)
+	b, err := est.Quantile(s, 0.4, rng.New(9).Derive("s"), nil)
 	if err != nil {
 		t.Fatalf("Quantile: %v", err)
 	}
@@ -245,28 +256,30 @@ func TestTrieDeterministicGivenSharedAndSample(t *testing.T) {
 func TestEstimatorArgValidation(t *testing.T) {
 	shared := rng.New(1)
 	fresh := rng.New(2)
-	samples := []int{1, 2, 3}
+	samples := mustSample(t, []int{1, 2, 3}, 8)
+	empty := mustSample(t, nil, 8)
+	// The domain is validated once, when the sample is built.
+	if _, err := NewSample([]int{1, 2, 3}, 1); !errors.Is(err, ErrBadParam) {
+		t.Errorf("domain=1: %v", err)
+	}
 	for _, est := range []Estimator{Naive{}, Snap{Tau: 0.1}, Trie{Tau: 0.1}, PaddedMedian{Tau: 0.1}} {
-		if _, err := est.Quantile(nil, 8, 0.5, shared, fresh); !errors.Is(err, ErrNoSamples) {
+		if _, err := est.Quantile(empty, 0.5, shared, fresh); !errors.Is(err, ErrNoSamples) {
 			t.Errorf("%s empty samples: %v", est.Name(), err)
 		}
-		if _, err := est.Quantile(samples, 1, 0.5, shared, fresh); !errors.Is(err, ErrBadParam) {
-			t.Errorf("%s domain=1: %v", est.Name(), err)
-		}
-		if _, err := est.Quantile(samples, 8, -0.1, shared, fresh); !errors.Is(err, ErrBadParam) {
+		if _, err := est.Quantile(samples, -0.1, shared, fresh); !errors.Is(err, ErrBadParam) {
 			t.Errorf("%s p=-0.1: %v", est.Name(), err)
 		}
-		if _, err := est.Quantile(samples, 8, 1.1, shared, fresh); !errors.Is(err, ErrBadParam) {
+		if _, err := est.Quantile(samples, 1.1, shared, fresh); !errors.Is(err, ErrBadParam) {
 			t.Errorf("%s p=1.1: %v", est.Name(), err)
 		}
 	}
 	// Reproducible estimators demand shared randomness.
 	for _, est := range []Estimator{Snap{Tau: 0.1}, Trie{Tau: 0.1}, PaddedMedian{Tau: 0.1}} {
-		if _, err := est.Quantile(samples, 8, 0.5, nil, fresh); !errors.Is(err, ErrBadParam) {
+		if _, err := est.Quantile(samples, 0.5, nil, fresh); !errors.Is(err, ErrBadParam) {
 			t.Errorf("%s nil shared: %v", est.Name(), err)
 		}
 	}
-	if _, err := (PaddedMedian{Tau: 0.1}).Quantile(samples, 8, 0.5, shared, nil); !errors.Is(err, ErrBadParam) {
+	if _, err := (PaddedMedian{Tau: 0.1}).Quantile(samples, 0.5, shared, nil); !errors.Is(err, ErrBadParam) {
 		t.Error("PaddedMedian accepted nil fresh randomness")
 	}
 }
@@ -284,8 +297,12 @@ func TestQuantileOutputInDomainQuick(t *testing.T) {
 		}
 		shared := rng.New(seed + 1)
 		fresh := rng.New(seed + 2)
+		s, err := NewSample(samples, size)
+		if err != nil {
+			return false
+		}
 		for _, est := range []Estimator{Naive{}, Snap{Tau: 0.1}, Trie{Tau: 0.1}, PaddedMedian{Tau: 0.1}} {
-			out, err := est.Quantile(samples, size, p, shared, fresh)
+			out, err := est.Quantile(s, p, shared, fresh)
 			if err != nil || out < 0 || out >= size {
 				return false
 			}

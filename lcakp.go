@@ -209,8 +209,12 @@ type (
 
 // Reproducible statistics types.
 type (
-	// QuantileEstimator is the reproducible-quantile interface.
+	// QuantileEstimator is the reproducible-quantile interface. Its
+	// Quantile method reads a QuantileSample.
 	QuantileEstimator = repro.Estimator
+	// QuantileSample is an estimator's input: domain indices validated
+	// once, in draw order and as a sorted view built once.
+	QuantileSample = repro.Sample
 	// TrieQuantile is the provably reproducible estimator.
 	TrieQuantile = repro.Trie
 	// NaiveQuantile is the non-reproducible ablation baseline.
@@ -220,6 +224,13 @@ type (
 // NewInstance constructs and validates a Knapsack instance.
 func NewInstance(items []Item, capacity float64) (*Instance, error) {
 	return knapsack.NewInstance(items, capacity)
+}
+
+// NewQuantileSample validates a sample of domain indices against
+// [0, domainSize) and builds its sorted view; indices is kept as the
+// draw order and must not be modified afterwards.
+func NewQuantileSample(indices []int, domainSize int) (*QuantileSample, error) {
+	return repro.NewSample(indices, domainSize)
 }
 
 // NewSliceOracle wraps a (normalized) instance with point-query and

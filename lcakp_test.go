@@ -111,6 +111,21 @@ func TestFacadeEstimatorSwap(t *testing.T) {
 	}
 }
 
+// TestFacadeQuantileSample drives an estimator through the facade's
+// sample constructor, which validates indices against the domain.
+func TestFacadeQuantileSample(t *testing.T) {
+	s, err := lcakp.NewQuantileSample([]int{4, 1, 3}, 8)
+	if err != nil {
+		t.Fatalf("NewQuantileSample: %v", err)
+	}
+	if x, err := (lcakp.NaiveQuantile{}).Quantile(s, 0.5, nil, nil); err != nil || x != 3 {
+		t.Errorf("naive median = %d, %v; want 3", x, err)
+	}
+	if _, err := lcakp.NewQuantileSample([]int{8}, 8); err == nil {
+		t.Error("NewQuantileSample accepted an index outside the domain")
+	}
+}
+
 // TestFacadeSolverWrappers touches every solver wrapper on a small
 // instance so the facade stays wired to the implementations.
 func TestFacadeSolverWrappers(t *testing.T) {
